@@ -64,6 +64,7 @@ func (o Options) maxNodes() int {
 // selectivities.
 type EPTNode struct {
 	Label    xmldoc.LabelID
+	ID       int32   // dense preorder index within its EPT; the root is 0
 	Card     float64 // estimated |rooted simple path|
 	Fsel     float64 // forward selectivity of the path (Definition 5)
 	Bsel     float64 // backward selectivity of the path (Definition 5)
@@ -73,7 +74,7 @@ type EPTNode struct {
 
 // EPTStats reports the size of a generated EPT (the Section 6.4 metric).
 type EPTStats struct {
-	Nodes     int  // EPT nodes generated (including the root)
+	Nodes     int  // EPT nodes generated (including the root); node IDs are [0, Nodes)
 	Truncated bool // true if MaxEPTNodes pruned traversal
 }
 
@@ -173,7 +174,7 @@ func (b *eptBuilder) expand(n *EPTNode, v *kernel.Vertex) {
 			b.rl.Pop(e.To)
 			continue
 		}
-		child := &EPTNode{Label: e.To, Card: card, Fsel: fsel, Bsel: bsel, Hash: h}
+		child := &EPTNode{Label: e.To, ID: int32(b.nodes), Card: card, Fsel: fsel, Bsel: bsel, Hash: h}
 		n.Children = append(n.Children, child)
 		b.nodes++
 		b.expand(child, b.k.Vertex(e.To))

@@ -132,8 +132,8 @@ func (p *Plan) NumSteps() int { return len(p.steps) }
 // running an incompatible plan is safe but may estimate 0 for labels the
 // plan compiled before they were interned.
 func (p *Plan) Run(sn *Snapshot) float64 {
-	root, _ := sn.EPT()
-	return p.run(root, sn.opt.HET, sn.hashes)
+	root, stats := sn.EPT()
+	return p.run(root, stats.Nodes, sn.opt.HET, sn.hashes)
 }
 
 // entry is one weighted context node during navigation.
@@ -149,30 +149,57 @@ type runner struct {
 	hashes []uint32
 
 	cur, next []entry
-	index     map[*EPTNode]int
+	hi        int // longest prefix of either buffer this run has written
+
+	// slots is the node-dedup index, one slot per EPT node ID: a node is in
+	// the current step's output iff its slot carries the current epoch, and
+	// pos is then its position in the output. Bumping epoch empties the set
+	// in O(1), so a step costs only the nodes it touches, however wide a
+	// step the runner served before. The slots are sized from the built EPT
+	// (never from Options.MaxEPTNodes) and grow only when a larger EPT
+	// arrives; they hold no pointers, so a parked runner pins no EPT.
+	slots []slot
+	epoch uint32
+
 	virtual   EPTNode
 	rootChild [1]*EPTNode
 }
 
-var runnerPool = sync.Pool{New: func() any {
-	return &runner{index: make(map[*EPTNode]int)}
-}}
+// slot is one node's dedup-index entry (see runner.slots).
+type slot struct {
+	epoch uint32
+	pos   int32
+}
 
-// run evaluates the compiled query over the EPT rooted at root — the
-// Algorithm 3 semantics of the interpretive matcher, operation for
-// operation: Σ over result matches of card × accumulated absel, with
-// node-set max-weight merging per step.
-func (p *Plan) run(root *EPTNode, het HET, hashes []uint32) float64 {
+var runnerPool = sync.Pool{New: func() any { return new(runner) }}
+
+// run evaluates the plan over the EPT rooted at root, whose node IDs are
+// [0, nodes), on a pooled runner.
+func (p *Plan) run(root *EPTNode, nodes int, het HET, hashes []uint32) float64 {
 	if root == nil || len(p.steps) == 0 {
 		return 0
 	}
 	r := runnerPool.Get().(*runner)
+	est := r.run(p, root, nodes, het, hashes)
+	runnerPool.Put(r)
+	return est
+}
+
+// run evaluates the compiled query — the Algorithm 3 semantics of the
+// interpretive matcher, operation for operation: Σ over result matches of
+// card × accumulated absel, with node-set max-weight merging per step.
+func (r *runner) run(p *Plan, root *EPTNode, nodes int, het HET, hashes []uint32) float64 {
 	r.het, r.hashes = het, hashes
+	if len(r.slots) < nodes {
+		r.slots = make([]slot, nodes)
+	}
 	// Navigation starts at a virtual node above the EPT root whose only
-	// child is the root.
+	// child is the root. Its ID (0, the root's) is never looked up: steps
+	// add only children to the dedup index, and it is no node's child.
 	r.rootChild[0] = root
 	r.virtual = EPTNode{Children: r.rootChild[:], Card: 1, Fsel: 1, Bsel: 1}
 	ctx := append(r.cur[:0], entry{n: &r.virtual, w: 1})
+	r.hi = 1
 	for i := range p.steps {
 		ctx = r.step(ctx, &p.steps[i])
 		if len(ctx) == 0 {
@@ -187,23 +214,14 @@ func (p *Plan) run(root *EPTNode, het HET, hashes []uint32) float64 {
 		est += e.n.Card * e.w
 	}
 	// Scrub every EPT reference before pooling: a runner parked with stale
-	// node pointers (in the dedup index or the truncated buffers' backing
-	// arrays) would pin a retired snapshot's whole EPT while idle.
-	clear(r.index)
-	clearEntries(r.cur)
-	clearEntries(r.next)
+	// node pointers in the truncated buffers' backing arrays would pin a
+	// retired snapshot's whole EPT while idle. Earlier runs left everything
+	// past their own prefix zero, so this run's prefix is all there is.
+	clear(r.cur[:min(r.hi, cap(r.cur))])
+	clear(r.next[:min(r.hi, cap(r.next))])
 	r.cur, r.next = r.cur[:0], r.next[:0]
 	r.het, r.hashes, r.rootChild[0], r.virtual = nil, nil, nil, EPTNode{}
-	runnerPool.Put(r)
 	return est
-}
-
-// clearEntries zeroes the slice's full backing array.
-func clearEntries(s []entry) {
-	s = s[:cap(s)]
-	for i := range s {
-		s[i] = entry{}
-	}
 }
 
 // step applies one location step to the weighted context set. Node-set
@@ -215,15 +233,22 @@ func (r *runner) step(ctx []entry, st *planStep) []entry {
 		return nil
 	}
 	out := r.next[:0]
-	clear(r.index)
+	r.epoch++
+	if r.epoch == 0 {
+		// Wrapped: stamps left 2^32 steps ago would read as current.
+		clear(r.slots)
+		r.epoch = 1
+	}
+	epoch := r.epoch
 	add := func(n *EPTNode, w float64) {
-		if i, ok := r.index[n]; ok {
-			if w > out[i].w {
-				out[i].w = w
+		s := &r.slots[n.ID]
+		if s.epoch == epoch {
+			if w > out[s.pos].w {
+				out[s.pos].w = w
 			}
 			return
 		}
-		r.index[n] = len(out)
+		*s = slot{epoch: epoch, pos: int32(len(out))}
 		out = append(out, entry{n, w})
 	}
 	matches := func(c *EPTNode) bool { return st.wildcard || c.Label == st.label }
@@ -252,6 +277,7 @@ func (r *runner) step(ctx []entry, st *planStep) []entry {
 		}
 	}
 	r.next = out
+	r.hi = max(r.hi, len(out))
 	return out
 }
 

@@ -34,10 +34,27 @@ type EstimateResult struct {
 	CostNs   int64
 }
 
+// cacheScope identifies what a cached value was computed against: the
+// registry entry (its id is registry-unique, so a replaced or re-registered
+// name never shares a scope) and, for estimates, the estimation-snapshot
+// version. Compiled plans are version-free; the plan marker keys them apart
+// from estimates, so the same (scope, query) pair never collides across the
+// two kinds; GetPlan and PutPlan set it.
+type cacheScope struct {
+	id   uint64
+	ver  uint64
+	plan bool
+}
+
 type cacheKey struct {
-	syn   string
+	scope cacheScope
 	query string // normalized (parsed and re-rendered) form; raw for plans
-	plan  bool   // plan entries key separately: same (scope, query) never collides
+}
+
+// planKey keys a compiled plan: its scope with the plan marker set.
+func planKey(s cacheScope, raw string) cacheKey {
+	s.plan = true
+	return cacheKey{scope: s, query: raw}
 }
 
 type cacheEntry struct {
@@ -103,17 +120,22 @@ func NewCache(capacity int) *Cache {
 }
 
 func (c *Cache) shardFor(k cacheKey) int {
-	h := pathhash.String(k.syn)
-	h = pathhash.AddLabel(h, k.query)
+	// A multiplicative mix spreads consecutive ids and versions over the
+	// shards.
+	s := k.scope.id<<1 ^ k.scope.ver*0x9e3779b97f4a7c15
+	if k.scope.plan {
+		s ^= 1
+	}
+	h := pathhash.String(k.query) ^ uint32((s*0xbf58476d1ce4e5b9)>>32)
 	return int(h % numShards)
 }
 
-// Get returns the cached result for (syn, query), if present. ten (may be
+// Get returns the cached result for (scope, query), if present. ten (may be
 // nil) receives the tenant-scoped hit/miss accounting: the counters are
 // striped per shard and bumped under the shard lock already held, so tenant
 // stats add no atomics contended across shards.
-func (c *Cache) Get(syn, query string, ten *Tenant) (EstimateResult, bool) {
-	k := cacheKey{syn: syn, query: query}
+func (c *Cache) Get(scope cacheScope, query string, ten *Tenant) (EstimateResult, bool) {
+	k := cacheKey{scope: scope, query: query}
 	si := c.shardFor(k)
 	s := &c.shards[si]
 	s.mu.Lock()
@@ -138,8 +160,8 @@ func (c *Cache) Get(syn, query string, ten *Tenant) (EstimateResult, bool) {
 // Put stores a result, evicting from the shard's least-recently-used tail
 // when the shard is full, and from the owning tenant's own entries when its
 // quota is full.
-func (c *Cache) Put(syn, query string, v EstimateResult, ten *Tenant) {
-	c.put(&cacheEntry{key: cacheKey{syn: syn, query: query}, val: v, ten: ten})
+func (c *Cache) Put(scope cacheScope, query string, v EstimateResult, ten *Tenant) {
+	c.put(&cacheEntry{key: cacheKey{scope: scope, query: query}, val: v, ten: ten})
 }
 
 // GetPlan returns the cached compiled plan for (scope, raw query) when it
@@ -147,8 +169,8 @@ func (c *Cache) Put(syn, query string, v EstimateResult, ten *Tenant) {
 // plan (the dictionary grew since compilation) counts as a miss — no hit
 // counter, no costSaved credit, no LRU refresh — since the caller re-pays
 // the full parse + compile and overwrites the entry via PutPlan.
-func (c *Cache) GetPlan(scope, raw string, sn *xseed.Snapshot) (*xseed.Plan, bool) {
-	k := cacheKey{syn: scope, query: raw, plan: true}
+func (c *Cache) GetPlan(scope cacheScope, raw string, sn *xseed.Snapshot) (*xseed.Plan, bool) {
+	k := planKey(scope, raw)
 	s := &c.shards[c.shardFor(k)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -167,8 +189,8 @@ func (c *Cache) GetPlan(scope, raw string, sn *xseed.Snapshot) (*xseed.Plan, boo
 // PutPlan stores a compiled plan; costNs is what parse + compile cost. Plan
 // entries count toward the owning tenant's cache quota like estimate
 // entries do (both occupy the same capacity).
-func (c *Cache) PutPlan(scope, raw string, p *xseed.Plan, costNs int64, ten *Tenant) {
-	c.put(&cacheEntry{key: cacheKey{syn: scope, query: raw, plan: true}, val: EstimateResult{CostNs: costNs}, plan: p, ten: ten})
+func (c *Cache) PutPlan(scope cacheScope, raw string, p *xseed.Plan, costNs int64, ten *Tenant) {
+	c.put(&cacheEntry{key: planKey(scope, raw), val: EstimateResult{CostNs: costNs}, plan: p, ten: ten})
 }
 
 func (c *Cache) put(e *cacheEntry) {
@@ -177,8 +199,8 @@ func (c *Cache) put(e *cacheEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[e.key]; ok {
-		// Replacement: the key embeds the tenant-qualified scope, so the
-		// owner cannot change and occupancy counts stay put.
+		// Replacement: the key embeds the owning entry's id, so the owner
+		// cannot change and occupancy counts stay put.
 		e.ten = el.Value.(*cacheEntry).ten
 		*el.Value.(*cacheEntry) = *e
 		s.ll.MoveToFront(el)
@@ -240,7 +262,7 @@ func (s *cacheShard) removeEntry(el *list.Element, e *cacheEntry) {
 // across scopes, plain LRU order applies and dead scopes age out normally.
 func (s *cacheShard) evict() {
 	victim := s.ll.Back()
-	scope := victim.Value.(*cacheEntry).key.syn
+	scope := victim.Value.(*cacheEntry).key.scope
 	el := victim
 	for i := 1; i < evictionWindow && el != nil; i++ {
 		el = el.Prev()
@@ -248,7 +270,7 @@ func (s *cacheShard) evict() {
 			break
 		}
 		e := el.Value.(*cacheEntry)
-		if e.key.syn == scope && e.val.CostNs < victim.Value.(*cacheEntry).val.CostNs {
+		if e.key.scope == scope && e.val.CostNs < victim.Value.(*cacheEntry).val.CostNs {
 			victim = el
 		}
 	}

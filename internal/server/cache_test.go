@@ -8,32 +8,46 @@ import (
 	"xseed"
 )
 
+// Test scopes: distinct registry entries, plus a later snapshot version of
+// the first.
+var (
+	scopeS     = cacheScope{id: 1, ver: 1}
+	scopeS2    = cacheScope{id: 1, ver: 2}
+	scopeOther = cacheScope{id: 2, ver: 1}
+	scopePlans = cacheScope{id: 3}
+	scopeDead  = cacheScope{id: 4, ver: 1}
+)
+
 func TestCacheGetPut(t *testing.T) {
 	c := NewCache(64)
-	if _, ok := c.Get("s", "/a/b", nil); ok {
+	if _, ok := c.Get(scopeS, "/a/b", nil); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put("s", "/a/b", EstimateResult{Est: 7}, nil)
-	v, ok := c.Get("s", "/a/b", nil)
+	c.Put(scopeS, "/a/b", EstimateResult{Est: 7}, nil)
+	v, ok := c.Get(scopeS, "/a/b", nil)
 	if !ok || v.Est != 7 {
 		t.Fatalf("got %v %v, want 7 true", v, ok)
 	}
 	// Same query under another synopsis is a distinct key.
-	if _, ok := c.Get("other", "/a/b", nil); ok {
+	if _, ok := c.Get(scopeOther, "/a/b", nil); ok {
 		t.Fatal("key leaked across synopses")
 	}
+	// ... and so is the same query under a later snapshot version.
+	if _, ok := c.Get(scopeS2, "/a/b", nil); ok {
+		t.Fatal("key leaked across snapshot versions")
+	}
 	// Overwrite.
-	c.Put("s", "/a/b", EstimateResult{Est: 9, Streamed: true}, nil)
-	v, _ = c.Get("s", "/a/b", nil)
+	c.Put(scopeS, "/a/b", EstimateResult{Est: 9, Streamed: true}, nil)
+	v, _ = c.Get(scopeS, "/a/b", nil)
 	if v.Est != 9 || !v.Streamed {
 		t.Fatalf("overwrite lost: %v", v)
 	}
 	st := c.Stats()
-	if st.Entries != 1 || st.Hits != 2 || st.Misses != 2 {
-		t.Fatalf("stats = %+v, want entries=1 hits=2 misses=2", st)
+	if st.Entries != 1 || st.Hits != 2 || st.Misses != 3 {
+		t.Fatalf("stats = %+v, want entries=1 hits=2 misses=3", st)
 	}
-	if st.HitRate != 0.5 {
-		t.Fatalf("hit rate = %v, want 0.5", st.HitRate)
+	if st.HitRate != 0.4 {
+		t.Fatalf("hit rate = %v, want 0.4", st.HitRate)
 	}
 }
 
@@ -45,7 +59,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	keys := make(map[uint32]string)
 	for i := 0; ; i++ {
 		q := fmt.Sprintf("/q%d", i)
-		k := cacheKey{syn: "s", query: q}
+		k := cacheKey{scope: scopeS, query: q}
 		idx := uint32(0)
 		for j := range c.shards {
 			if c.shardFor(k) == j {
@@ -59,12 +73,12 @@ func TestCacheLRUEviction(t *testing.T) {
 		}
 		keys[idx] = q
 	}
-	c.Put("s", a, EstimateResult{Est: 1}, nil)
-	c.Put("s", b, EstimateResult{Est: 2}, nil)
-	if _, ok := c.Get("s", a, nil); ok {
+	c.Put(scopeS, a, EstimateResult{Est: 1}, nil)
+	c.Put(scopeS, b, EstimateResult{Est: 2}, nil)
+	if _, ok := c.Get(scopeS, a, nil); ok {
 		t.Fatalf("%s should have been evicted by %s", a, b)
 	}
-	if v, ok := c.Get("s", b, nil); !ok || v.Est != 2 {
+	if v, ok := c.Get(scopeS, b, nil); !ok || v.Est != 2 {
 		t.Fatalf("%s missing after eviction of %s", b, a)
 	}
 }
@@ -76,7 +90,7 @@ func TestCacheCapacityBound(t *testing.T) {
 	for _, capacity := range []int{1, 2, 7, numShards, 33, 100} {
 		c := NewCache(capacity)
 		for i := 0; i < 500; i++ {
-			c.Put("s", fmt.Sprintf("/q%d", i), EstimateResult{Est: float64(i)}, nil)
+			c.Put(scopeS, fmt.Sprintf("/q%d", i), EstimateResult{Est: float64(i)}, nil)
 		}
 		if got := c.Stats().Entries; got > capacity {
 			t.Errorf("capacity %d: %d resident entries", capacity, got)
@@ -87,19 +101,19 @@ func TestCacheCapacityBound(t *testing.T) {
 	var kept string
 	for i := 0; ; i++ {
 		q := fmt.Sprintf("/q%d", i)
-		if c.shardFor(cacheKey{syn: "s", query: q}) == 0 {
+		if c.shardFor(cacheKey{scope: scopeS, query: q}) == 0 {
 			kept = q
 			break
 		}
 	}
-	c.Put("s", kept, EstimateResult{Est: 42}, nil)
-	if v, ok := c.Get("s", kept, nil); !ok || v.Est != 42 {
+	c.Put(scopeS, kept, EstimateResult{Est: 42}, nil)
+	if v, ok := c.Get(scopeS, kept, nil); !ok || v.Est != 42 {
 		t.Fatalf("capacity-1 cache lost its only admissible entry: %v %v", v, ok)
 	}
 	// Keys hashing to zero-capacity shards are refused, not crashed on.
 	for i := 0; i < 64; i++ {
 		q := fmt.Sprintf("/z%d", i)
-		c.Put("s", q, EstimateResult{Est: 1}, nil)
+		c.Put(scopeS, q, EstimateResult{Est: 1}, nil)
 	}
 	if got := c.Stats().Entries; got > 1 {
 		t.Fatalf("capacity-1 cache holds %d entries", got)
@@ -115,8 +129,8 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				q := fmt.Sprintf("/q%d", i%64)
-				c.Put("s", q, EstimateResult{Est: float64(i)}, nil)
-				c.Get("s", q, nil)
+				c.Put(scopeS, q, EstimateResult{Est: float64(i)}, nil)
+				c.Get(scopeS, q, nil)
 				c.Stats()
 			}
 		}(g)
@@ -127,12 +141,12 @@ func TestCacheConcurrent(t *testing.T) {
 // sameShardKeys returns n query strings that all land in the shard holding
 // capacity in a NewCache(numShards) layout (one entry per shard), so
 // eviction behavior is deterministic.
-func sameShardKeys(c *Cache, syn string, n int) []string {
+func sameShardKeys(c *Cache, scope cacheScope, n int) []string {
 	var out []string
-	target := c.shardFor(cacheKey{syn: syn, query: "/probe"})
+	target := c.shardFor(cacheKey{scope: scope, query: "/probe"})
 	for i := 0; len(out) < n; i++ {
 		q := fmt.Sprintf("/k%d", i)
-		if c.shardFor(cacheKey{syn: syn, query: q}) == target {
+		if c.shardFor(cacheKey{scope: scope, query: q}) == target {
 			out = append(out, q)
 		}
 	}
@@ -146,36 +160,36 @@ func sameShardKeys(c *Cache, syn string, n int) []string {
 func TestCacheCostAwareEviction(t *testing.T) {
 	// Expensive first, cheap second: the cheap newcomer is the victim.
 	c := NewCache(numShards)
-	keys := sameShardKeys(c, "s", 3)
-	c.Put("s", keys[0], EstimateResult{Est: 1, CostNs: 1_000_000}, nil)
-	c.Put("s", keys[1], EstimateResult{Est: 2, CostNs: 10}, nil)
-	if _, ok := c.Get("s", keys[0], nil); !ok {
+	keys := sameShardKeys(c, scopeS, 3)
+	c.Put(scopeS, keys[0], EstimateResult{Est: 1, CostNs: 1_000_000}, nil)
+	c.Put(scopeS, keys[1], EstimateResult{Est: 2, CostNs: 10}, nil)
+	if _, ok := c.Get(scopeS, keys[0], nil); !ok {
 		t.Fatal("expensive entry evicted by a cheap newcomer")
 	}
-	if _, ok := c.Get("s", keys[1], nil); ok {
+	if _, ok := c.Get(scopeS, keys[1], nil); ok {
 		t.Fatal("cheap newcomer admitted over a more expensive resident")
 	}
 
 	// Cheap first, expensive second: the cheap resident is the victim.
 	c = NewCache(numShards)
-	c.Put("s", keys[0], EstimateResult{Est: 1, CostNs: 10}, nil)
-	c.Put("s", keys[1], EstimateResult{Est: 2, CostNs: 1_000_000}, nil)
-	if _, ok := c.Get("s", keys[1], nil); !ok {
+	c.Put(scopeS, keys[0], EstimateResult{Est: 1, CostNs: 10}, nil)
+	c.Put(scopeS, keys[1], EstimateResult{Est: 2, CostNs: 1_000_000}, nil)
+	if _, ok := c.Get(scopeS, keys[1], nil); !ok {
 		t.Fatal("expensive newcomer not admitted")
 	}
-	if _, ok := c.Get("s", keys[0], nil); ok {
+	if _, ok := c.Get(scopeS, keys[0], nil); ok {
 		t.Fatal("cheap resident survived an expensive newcomer")
 	}
 
 	// Equal costs: plain LRU (oldest goes) — the tiebreak never reorders
 	// recency among equals.
 	c = NewCache(numShards)
-	c.Put("s", keys[0], EstimateResult{Est: 1, CostNs: 50}, nil)
-	c.Put("s", keys[1], EstimateResult{Est: 2, CostNs: 50}, nil)
-	if _, ok := c.Get("s", keys[0], nil); ok {
+	c.Put(scopeS, keys[0], EstimateResult{Est: 1, CostNs: 50}, nil)
+	c.Put(scopeS, keys[1], EstimateResult{Est: 2, CostNs: 50}, nil)
+	if _, ok := c.Get(scopeS, keys[0], nil); ok {
 		t.Fatal("equal-cost eviction did not follow LRU order")
 	}
-	if _, ok := c.Get("s", keys[1], nil); !ok {
+	if _, ok := c.Get(scopeS, keys[1], nil); !ok {
 		t.Fatal("equal-cost newest entry missing")
 	}
 }
@@ -184,21 +198,21 @@ func TestCacheCostAwareEviction(t *testing.T) {
 // to the aggregate costSavedNs counter (estimates and compiled plans both).
 func TestCacheCostSaved(t *testing.T) {
 	c := NewCache(64)
-	c.Put("s", "/a/b", EstimateResult{Est: 7, CostNs: 500}, nil)
-	c.Get("s", "/a/b", nil)
-	c.Get("s", "/a/b", nil)
-	c.Get("s", "/missing", nil) // misses credit nothing
+	c.Put(scopeS, "/a/b", EstimateResult{Est: 7, CostNs: 500}, nil)
+	c.Get(scopeS, "/a/b", nil)
+	c.Get(scopeS, "/a/b", nil)
+	c.Get(scopeS, "/missing", nil) // misses credit nothing
 	if got := c.Stats().CostSavedNs; got != 1000 {
 		t.Fatalf("costSavedNs = %d, want 1000", got)
 	}
 	_, syn := buildFixtureSynopsis(t, nil)
 	sn := syn.Snapshot()
 	p := sn.Compile(xseed.MustParseQuery("/a/b"))
-	c.PutPlan("plans", "/a/b", p, 200, nil)
-	if got, ok := c.GetPlan("plans", "/a/b", sn); !ok || got != p {
+	c.PutPlan(scopePlans, "/a/b", p, 200, nil)
+	if got, ok := c.GetPlan(scopePlans, "/a/b", sn); !ok || got != p {
 		t.Fatalf("plan roundtrip failed: %v %v", got, ok)
 	}
-	c.GetPlan("plans", "/never-compiled", sn)
+	c.GetPlan(scopePlans, "/never-compiled", sn)
 	st := c.Stats()
 	if st.CostSavedNs != 1200 {
 		t.Fatalf("costSavedNs after plan hit = %d, want 1200", st.CostSavedNs)
@@ -217,15 +231,15 @@ func TestCacheCostSaved(t *testing.T) {
 // tail must not outrank live cheap fills, or a small shard would starve.
 func TestCacheCostEvictionScopeBound(t *testing.T) {
 	c := NewCache(numShards)
-	keys := sameShardKeys(c, "dead", 2)
-	c.Put("dead", keys[0], EstimateResult{Est: 1, CostNs: 1_000_000}, nil)
-	// A different scope's cheap fill lands in the same shard (scope strings
-	// share the shard only via hashing — force it by probing).
-	var liveScope string
-	target := c.shardFor(cacheKey{syn: "dead", query: keys[0]})
-	for i := 0; ; i++ {
-		s := fmt.Sprintf("live%d", i)
-		if c.shardFor(cacheKey{syn: s, query: keys[0]}) == target {
+	keys := sameShardKeys(c, scopeDead, 2)
+	c.Put(scopeDead, keys[0], EstimateResult{Est: 1, CostNs: 1_000_000}, nil)
+	// A later version's cheap fill lands in the same shard (scopes share
+	// the shard only via hashing — force it by probing).
+	var liveScope cacheScope
+	target := c.shardFor(cacheKey{scope: scopeDead, query: keys[0]})
+	for i := uint64(1); ; i++ {
+		s := cacheScope{id: scopeDead.id, ver: scopeDead.ver + i}
+		if c.shardFor(cacheKey{scope: s, query: keys[0]}) == target {
 			liveScope = s
 			break
 		}
@@ -234,7 +248,7 @@ func TestCacheCostEvictionScopeBound(t *testing.T) {
 	if _, ok := c.Get(liveScope, keys[0], nil); !ok {
 		t.Fatal("live cheap fill starved by a dead scope's expensive entry")
 	}
-	if _, ok := c.Get("dead", keys[0], nil); ok {
+	if _, ok := c.Get(scopeDead, keys[0], nil); ok {
 		t.Fatal("dead-scope LRU-tail entry survived cross-scope pressure")
 	}
 }
@@ -246,12 +260,12 @@ func TestCachePlanEstimateNamespaces(t *testing.T) {
 	_, syn := buildFixtureSynopsis(t, nil)
 	sn := syn.Snapshot()
 	c := NewCache(64)
-	c.PutPlan("s", "/a/b", sn.Compile(xseed.MustParseQuery("/a/b")), 1, nil)
-	if _, ok := c.Get("s", "/a/b", nil); ok {
+	c.PutPlan(scopeS, "/a/b", sn.Compile(xseed.MustParseQuery("/a/b")), 1, nil)
+	if _, ok := c.Get(scopeS, "/a/b", nil); ok {
 		t.Fatal("estimate Get answered by a plan entry")
 	}
-	c.Put("s", "/a/c", EstimateResult{Est: 3}, nil)
-	if _, ok := c.GetPlan("s", "/a/c", sn); ok {
+	c.Put(scopeS, "/a/c", EstimateResult{Est: 3}, nil)
+	if _, ok := c.GetPlan(scopeS, "/a/c", sn); ok {
 		t.Fatal("GetPlan answered by an estimate entry")
 	}
 	// Staleness is the cache's own concern: grow the dictionary via a
@@ -261,7 +275,7 @@ func TestCachePlanEstimateNamespaces(t *testing.T) {
 	}
 	grown := syn.Snapshot()
 	before := c.Stats().PlanHits
-	if _, ok := c.GetPlan("s", "/a/b", grown); ok {
+	if _, ok := c.GetPlan(scopeS, "/a/b", grown); ok {
 		t.Fatal("stale plan served after dictionary growth")
 	}
 	if c.Stats().PlanHits != before {

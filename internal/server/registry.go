@@ -123,26 +123,27 @@ type Entry struct {
 func (e *Entry) Synopsis() *xseed.Synopsis { return e.syn }
 
 // scopeFor is the cache's synopsis identifier for estimates computed
-// against sn: name plus the entry's registry-unique id plus the estimation
-// snapshot's version. A mutation publishes the successor snapshot inside
-// its critical section, so every later batch pins a higher version and the
-// old scope — including fills still in flight from readers pinned to the
-// old snapshot — is unreachable and ages out of the LRU. No stale value can
+// against sn: the entry's registry-unique id plus the estimation snapshot's
+// version. A mutation publishes the successor snapshot inside its critical
+// section, so every later batch pins a higher version and the old scope —
+// including fills still in flight from readers pinned to the old snapshot —
+// is unreachable and ages out of the LRU. No stale value can
 // ever land in the new scope, because fills are keyed by the version the
 // value was computed from. The id covers replacement: when a name is Put
 // over or deleted and re-registered, the new entry's scope shares nothing
 // with the old one's.
-func (e *Entry) scopeFor(sn *xseed.Snapshot) string {
-	return fmt.Sprintf("%s\x00%d\x00%d", e.name, e.id, sn.Version())
+func (e *Entry) scopeFor(sn *xseed.Snapshot) cacheScope {
+	return cacheScope{id: e.id, ver: sn.Version()}
 }
 
-// planScope keys the entry's compiled-plan cache. Deliberately
-// version-free: plans depend only on the label dictionary (append-only, so
-// only subtree updates can grow it), which is exactly why they survive the
-// feedback storms that retire every estimate scope; staleness after a
-// dictionary change is detected per-hit with Plan.CompatibleWith.
-func (e *Entry) planScope() string {
-	return fmt.Sprintf("%s\x00%d\x00plans", e.name, e.id)
+// planScope keys the entry's compiled-plan cache (GetPlan and PutPlan add
+// the plan marker). Deliberately version-free: plans depend only on the
+// label dictionary (append-only, so only subtree updates can grow it), which
+// is exactly why they survive the feedback storms that retire every estimate
+// scope; staleness after a dictionary change is detected per-hit with
+// Plan.CompatibleWith.
+func (e *Entry) planScope() cacheScope {
+	return cacheScope{id: e.id}
 }
 
 // invalidate bumps the durable mutation counter persisted with base

@@ -297,8 +297,8 @@ func TestCacheTenantQuotaBounds(t *testing.T) {
 	c := NewCache(numShards * 64)
 
 	for i := 0; i < numShards*8; i++ {
-		c.Put("syn", fmt.Sprintf("/q%d", i), EstimateResult{Est: float64(i)}, capped)
-		c.Put("syn", fmt.Sprintf("/free%d", i), EstimateResult{Est: float64(i)}, free)
+		c.Put(scopeS, fmt.Sprintf("/q%d", i), EstimateResult{Est: float64(i)}, capped)
+		c.Put(scopeS, fmt.Sprintf("/free%d", i), EstimateResult{Est: float64(i)}, free)
 	}
 	if got := c.TenantEntries(capped); got > numShards {
 		t.Errorf("capped tenant occupies %d entries, quota %d", got, numShards)
@@ -308,7 +308,7 @@ func TestCacheTenantQuotaBounds(t *testing.T) {
 	}
 	// The capped tenant still caches: its newest entry is resident.
 	last := fmt.Sprintf("/q%d", numShards*8-1)
-	if _, ok := c.Get("syn", last, capped); !ok {
+	if _, ok := c.Get(scopeS, last, capped); !ok {
 		t.Errorf("capped tenant's most recent entry was not cached")
 	}
 }

@@ -418,9 +418,7 @@ func (cn *xtpConn) handleFeedbackBatch(corr uint64, name string, items []api.Fee
 	start := time.Now()
 	errs, err := cn.x.reg.FeedbackBatch(name, items)
 	if err != nil {
-		ae := toAPIError(err)
-		cn.x.m.errorSent(ae.Code)
-		cn.writeError(corr, ae)
+		cn.writeError(corr, toAPIError(err)) // counts the error
 		cn.x.m.observe(cn.x.m.feedbackSeconds, start)
 		return
 	}

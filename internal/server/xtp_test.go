@@ -363,3 +363,38 @@ func TestXTPMetricsFamilies(t *testing.T) {
 		}
 	}
 }
+
+// TestXTPFeedbackBatchErrorCountedOnce: a feedback batch that fails
+// wholesale is one Error frame and exactly one xseed_xtp_errors_total
+// increment.
+func TestXTPFeedbackBatchErrorCountedOnce(t *testing.T) {
+	om := obs.NewRegistry()
+	_, addr := startXTP(t, om)
+	_, r, w := dialRaw(t, addr)
+
+	items := []api.FeedbackItem{{Query: "/a/c/s", Actual: 2}}
+	for corr := uint64(1); corr <= 2; corr++ {
+		w.WriteFrame(wire.FrameFeedbackBatchReq, corr, wire.AppendFeedbackBatchReq(nil, "nope", items))
+		f, err := r.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type != wire.FrameError {
+			t.Fatalf("frame = %s, want Error", f.Type)
+		}
+	}
+
+	var sb strings.Builder
+	if err := om.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	const want = `xseed_xtp_errors_total{code="not_found"} 2`
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if strings.HasPrefix(line, "xseed_xtp_errors_total{") && line != want {
+			t.Errorf("metrics line %q, want %q (one count per failed batch)", line, want)
+		}
+	}
+	if !strings.Contains(sb.String(), want+"\n") {
+		t.Errorf("metrics missing %q", want)
+	}
+}
