@@ -240,16 +240,26 @@ func (cl *Cluster) nodeXTP(addr string) (*XTP, error) {
 	return x, nil
 }
 
-// doRouted runs fn against name's owner, retrying with re-routing: a
-// typed moved error redirects the next attempt to the node the error
-// names (and refreshes the ring, so the attempt after that routes right
-// from the hash); unavailable and transport errors drop back to ring
-// routing after a refresh. Attempts beyond the first sleep the same
-// jittered, capped backoff as Client. Non-retryable API errors (parse
-// errors, not found, unauthorized) return immediately.
-func (cl *Cluster) doRouted(ctx context.Context, name string, fn func(c *Client) error) error {
+// route says how a routed call reaches a node over one transport: a ring
+// member's address on it, a moved hint's address on it ("" when unknown,
+// which drops the attempt back to ring routing), and the cached client
+// for an address.
+type route[T any] struct {
+	node func(n api.RingNode) string
+	hint func(owner string) string
+	at   func(addr string) (T, error)
+}
+
+// routed runs fn against name's owner, retrying with re-routing: a typed
+// moved error redirects the next attempt to the node the error names (and
+// refreshes the ring, so the attempt after that routes right from the
+// hash); unavailable and transport errors drop back to ring routing after
+// a refresh. Attempts beyond the first sleep the same jittered, capped
+// backoff as Client. Non-retryable API errors (parse errors, not found,
+// unauthorized) return immediately.
+func routed[T any](ctx context.Context, cl *Cluster, name string, rt route[T], fn func(T) error) error {
 	attempts := 1 + cl.proto.retries
-	var override string // owner base URL from a moved hint
+	var hint string // owner base URL from a moved error
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
@@ -259,10 +269,11 @@ func (cl *Cluster) doRouted(ctx context.Context, name string, fn func(c *Client)
 			case <-time.After(retryDelay(attempt, cl.proto.backoff, cl.proto.backoffCap, jitter)):
 			}
 		}
-		var c *Client
-		if override != "" {
-			c = cl.nodeClient(override)
-		} else {
+		var addr string
+		if hint != "" {
+			addr = rt.hint(hint)
+		}
+		if addr == "" {
 			n, err := cl.owner(ctx, name)
 			if err != nil {
 				if ctxErr := ctx.Err(); ctxErr != nil {
@@ -271,11 +282,13 @@ func (cl *Cluster) doRouted(ctx context.Context, name string, fn func(c *Client)
 				lastErr = err
 				continue
 			}
-			c = cl.nodeClient(n.HTTP)
+			addr = rt.node(n)
 		}
-		err := fn(c)
+		target, err := rt.at(addr)
 		if err == nil {
-			return nil
+			if err = fn(target); err == nil {
+				return nil
+			}
 		}
 		var ae *api.Error
 		switch {
@@ -285,25 +298,35 @@ func (cl *Cluster) doRouted(ctx context.Context, name string, fn func(c *Client)
 			// so the attempt after next routes from the hash again — if two
 			// nodes point at each other (a desynced rebalance window), the
 			// refreshed ring breaks the cycle instead of ping-ponging.
-			override = ""
-			if d, ok := ae.MovedDetail(); ok && d.Owner != "" {
-				override = d.Owner
+			hint = ""
+			if d, ok := ae.MovedDetail(); ok {
+				hint = d.Owner
 			}
 			cl.Refresh(ctx)
 		case errors.As(err, &ae) && ae.Code == api.CodeUnavailable:
-			override = ""
+			hint = ""
 			cl.Refresh(ctx)
 		case errors.As(err, &ae):
 			return err // typed and not retryable
 		case ctx.Err() != nil:
 			return ctx.Err()
 		default:
-			override = "" // transport-level failure: re-resolve the owner
+			hint = "" // transport-level failure: re-resolve the owner
 			cl.Refresh(ctx)
 		}
 		lastErr = err
 	}
 	return lastErr
+}
+
+// doRouted is routed over HTTP: a moved hint already names the owner's
+// HTTP base.
+func (cl *Cluster) doRouted(ctx context.Context, name string, fn func(c *Client) error) error {
+	return routed(ctx, cl, name, route[*Client]{
+		node: func(n api.RingNode) string { return n.HTTP },
+		hint: func(owner string) string { return owner },
+		at:   func(addr string) (*Client, error) { return cl.nodeClient(addr), nil },
+	}, fn)
 }
 
 // Health probes any reachable node (the first active ring member).
@@ -448,74 +471,20 @@ func (s *ClusterSynopsis) FeedbackBatch(ctx context.Context, items []xseed.Feedb
 	return feedbackErrsFromItems(resp.Results, len(items))
 }
 
-// doRoutedXTP is doRouted over the binary transport: resolve the owner,
-// run fn against its xtp client, re-route on moved / unavailable /
-// transport errors. A moved hint names the owner's HTTP base, so the
-// hinted node is resolved back to its ring entry to find the xtp
-// address.
+// doRoutedXTP is routed over the binary transport: a moved hint names
+// the owner's HTTP base, so it is resolved back to that node's ring entry
+// to find the xtp address.
 func (cl *Cluster) doRoutedXTP(ctx context.Context, name string, fn func(x *XTP) error) error {
-	attempts := 1 + cl.proto.retries
-	var overrideXTP string // xtp addr resolved from a moved hint
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(retryDelay(attempt, cl.proto.backoff, cl.proto.backoffCap, jitter)):
+	return routed(ctx, cl, name, route[*XTP]{
+		node: func(n api.RingNode) string { return n.XTP },
+		hint: cl.xtpAddrFor,
+		at: func(addr string) (*XTP, error) {
+			if addr == "" {
+				return nil, api.Errorf(api.CodeUnavailable, "owner serves no xtp listener")
 			}
-		}
-		addr := overrideXTP
-		if addr == "" {
-			n, err := cl.owner(ctx, name)
-			if err != nil {
-				if ctxErr := ctx.Err(); ctxErr != nil {
-					return ctxErr
-				}
-				lastErr = err
-				continue
-			}
-			if n.XTP == "" {
-				return api.Errorf(api.CodeUnavailable, "node %s serves no xtp listener", n.ID)
-			}
-			addr = n.XTP
-		}
-		x, err := cl.nodeXTP(addr)
-		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return ctxErr
-			}
-			overrideXTP = ""
-			cl.Refresh(ctx)
-			lastErr = err
-			continue
-		}
-		err = fn(x)
-		if err == nil {
-			return nil
-		}
-		var ae *api.Error
-		switch {
-		case errors.As(err, &ae) && ae.Code == api.CodeMoved:
-			overrideXTP = ""
-			if d, ok := ae.MovedDetail(); ok && d.Owner != "" {
-				overrideXTP = cl.xtpAddrFor(d.Owner)
-			}
-			cl.Refresh(ctx)
-		case errors.As(err, &ae) && ae.Code == api.CodeUnavailable:
-			overrideXTP = ""
-			cl.Refresh(ctx)
-		case errors.As(err, &ae):
-			return err
-		case ctx.Err() != nil:
-			return ctx.Err()
-		default:
-			overrideXTP = ""
-			cl.Refresh(ctx)
-		}
-		lastErr = err
-	}
-	return lastErr
+			return cl.nodeXTP(addr)
+		},
+	}, fn)
 }
 
 // xtpAddrFor maps a moved hint (an HTTP base URL) back to that node's

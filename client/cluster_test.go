@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"xseed/api"
+	"xseed/internal/server"
 )
 
 // ringSeed serves /v1/cluster/ring from a swappable api.Ring and counts
@@ -195,6 +197,52 @@ func TestClusterRedirectStormDesync(t *testing.T) {
 	// moved response.
 	if f := seed.fetches.Load(); f < int64(retries) {
 		t.Fatalf("ring fetched %d times during the storm, want at least %d", f, retries)
+	}
+}
+
+// TestClusterXTPFollowsMovedHint is TestClusterFollowsMovedHint over xtp
+// estimates: node A's listener answers moved naming B's HTTP base, and the
+// client maps that hint back through the ring to B's xtp address.
+func TestClusterXTPFollowsMovedHint(t *testing.T) {
+	_, bXTP := newXTPBackend(t, nil)
+	aReg := server.NewRegistry(64, 0)
+	t.Cleanup(aReg.Close)
+	var aHits atomic.Int64
+	ax := server.NewXTP(aReg, server.XTPOptions{})
+	ax.AttachCluster(func(string) *api.Error {
+		aHits.Add(1)
+		return api.NewMovedError("fig2", "http://b.invalid:1", 2)
+	}, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go ax.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		ax.Shutdown(ctx)
+	})
+
+	// B is still joining, so the hash routes to A; the hint finds B anyway.
+	seed := newRingSeed(t, activeRing(1,
+		api.RingNode{ID: "a", HTTP: "a.invalid:1", XTP: ln.Addr().String(), State: api.RingStateActive},
+		api.RingNode{ID: "b", HTTP: "b.invalid:1", XTP: bXTP, State: api.RingStateJoining}))
+	cl, err := NewCluster([]string{seed.srv.URL}, WithXTPEstimates(),
+		WithRetry(3, time.Millisecond), WithRetryCap(5*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	res, err := cl.Synopsis("fig2").EstimateBatch(context.Background(), []string{"/a/c/s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || res[0].Err != nil || res[0].Estimate <= 0 {
+		t.Fatalf("results = %+v", res)
+	}
+	if aHits.Load() != 1 {
+		t.Fatalf("a served %d attempts, want 1 before following the hint", aHits.Load())
 	}
 }
 

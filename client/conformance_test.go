@@ -369,3 +369,36 @@ func TestConformanceFeedbackBatchAuthAndQuotaParity(t *testing.T) {
 		t.Fatalf("xtp dial with bad token = %v, want typed %s", xerr, api.CodeUnauthorized)
 	}
 }
+
+// TestConformanceEmptyEstimateBatch: a batch with no queries is the typed
+// bad_request on every transport, never an empty success.
+func TestConformanceEmptyEstimateBatch(t *testing.T) {
+	for name, tr := range transports(t) {
+		t.Run(name, func(t *testing.T) {
+			res, err := tr.bind("fig2").EstimateBatch(context.Background(), nil)
+			var apiErr *api.Error
+			if !errors.As(err, &apiErr) || apiErr.Code != api.CodeBadRequest {
+				t.Fatalf("empty batch = %v, %v; want typed %s", res, err, api.CodeBadRequest)
+			}
+		})
+	}
+}
+
+// TestConformanceEmptyFeedbackQuery: feedback with an empty query is the
+// typed bad_request on every transport (over xtp, via the Flush barrier),
+// rejected before the query parser could call it a parse_error.
+func TestConformanceEmptyFeedbackQuery(t *testing.T) {
+	for name, tr := range transports(t) {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			err := tr.bind("fig2").Feedback(ctx, "", 3)
+			if err == nil {
+				err = tr.flush(ctx)
+			}
+			var apiErr *api.Error
+			if !errors.As(err, &apiErr) || apiErr.Code != api.CodeBadRequest {
+				t.Fatalf("empty feedback query = %v, want typed %s", err, api.CodeBadRequest)
+			}
+		})
+	}
+}

@@ -263,6 +263,11 @@ func (x *XTP) EstimateBatch(ctx context.Context, queries []string) ([]xseed.Resu
 	if x.synopsis == "" {
 		return nil, fmt.Errorf("client: no synopsis bound (use Synopsis(name) or WithXTPSynopsis)")
 	}
+	// A context already done never sends: the select below would race its
+	// Done against a fast response and could report success.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	cn, err := x.getConn()
 	if err != nil {
 		return nil, err
@@ -307,6 +312,9 @@ func (x *XTP) Feedback(ctx context.Context, query string, actual float64) error 
 	if x.synopsis == "" {
 		return fmt.Errorf("client: no synopsis bound (use Synopsis(name) or WithXTPSynopsis)")
 	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	cn, err := x.getConn()
 	if err != nil {
 		return err
@@ -341,6 +349,9 @@ func (x *XTP) Feedback(ctx context.Context, query string, actual float64) error 
 func (x *XTP) FeedbackBatch(ctx context.Context, items []xseed.FeedbackObs) ([]error, error) {
 	if x.synopsis == "" {
 		return nil, fmt.Errorf("client: no synopsis bound (use Synopsis(name) or WithXTPSynopsis)")
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	cn, err := x.getConn()
 	if err != nil {
@@ -618,10 +629,10 @@ func (cn *xconn) readLoop() {
 	}
 }
 
-// settleFeedback consumes one FeedbackAck: return the window slot, record
-// any error for Flush.
+// settleFeedback consumes one FeedbackAck: record any error for Flush,
+// then return the window slot — in that order, because Flush reads a full
+// window as "every ack settled" and takes the error right after.
 func (cn *xconn) settleFeedback(f wire.Frame) {
-	<-cn.fbTokens
 	switch f.Type {
 	case wire.FrameFeedbackAck:
 		ae, err := wire.DecodeFeedbackAck(f.Payload)
@@ -640,6 +651,7 @@ func (cn *xconn) settleFeedback(f wire.Frame) {
 	default:
 		cn.owner.recordFeedbackErr(fmt.Errorf("client: unexpected %s ack for feedback", f.Type))
 	}
+	<-cn.fbTokens
 }
 
 // settleCall delivers a response to its waiter, translating Error frames

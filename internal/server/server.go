@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"xseed"
@@ -101,6 +100,7 @@ type Config struct {
 // the public xseed/api package; handlers marshal only api types.
 type Server struct {
 	reg       *Registry
+	ops       *ops // the policy chain both transports call (ops.go)
 	http      *http.Server
 	xtp       *XTP   // nil unless Config.XTPAddr was set
 	xtpAddr   string // requested xtp listen address
@@ -147,8 +147,10 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
+	reg := NewRegistryObs(cfg.CacheCapacity, cfg.AggregateBudgetBytes, om)
 	s := &Server{
-		reg:       NewRegistryObs(cfg.CacheCapacity, cfg.AggregateBudgetBytes, om),
+		reg:       reg,
+		ops:       &ops{reg: reg},
 		dataDir:   cfg.DataDir,
 		compact:   cfg.StoreCompactInterval,
 		log:       logger,
@@ -163,6 +165,7 @@ func New(cfg Config) (*Server, error) {
 	s.reg.AttachTenants(ts)
 	if cfg.XTPAddr != "" {
 		s.xtp = NewXTP(s.reg, XTPOptions{Logger: logger, Metrics: om})
+		s.xtp.ops = s.ops // one set of cluster hooks serves both transports
 	}
 	if cfg.StoreDir != "" {
 		fsync, err := store.ParseFsyncMode(cfg.StoreFsync)
@@ -317,17 +320,6 @@ func (s *Server) tenant(r *http.Request) *Tenant {
 		return t
 	}
 	return s.tenants.Default()
-}
-
-// synKey qualifies a client-supplied synopsis name with the tenant's
-// namespace. A NUL byte is rejected at this boundary on every route that
-// takes a name: store.Key reserves NUL as its separator, so a crafted name
-// could otherwise alias another tenant's key.
-func synKey(t *Tenant, name string) (string, *api.Error) {
-	if strings.ContainsRune(name, 0) {
-		return "", api.Errorf(api.CodeBadRequest, "synopsis name must not contain NUL")
-	}
-	return store.Key(t.ID(), name), nil
 }
 
 // adminOnly gates the admin routes (budget, compact): on a tenanted server
@@ -635,13 +627,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, fmt.Errorf("missing name"))
 		return
 	}
-	key, aerr := synKey(s.tenant(r), req.Name)
-	if aerr != nil {
-		writeAPIError(w, r, aerr)
-		return
-	}
-	if aerr := s.ownerCheck(key); aerr != nil {
-		writeAPIError(w, r, aerr)
+	key, ok := s.keyFor(w, r, req.Name)
+	if !ok {
 		return
 	}
 	// Racy early uniqueness check: building a synopsis can cost seconds of
@@ -668,10 +655,11 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.reg.ListFor(s.tenant(r)))
 }
 
-// pathKey resolves the {name} path segment into the request tenant's
-// qualified key, writing the error itself on a bad name.
-func (s *Server) pathKey(w http.ResponseWriter, r *http.Request) (string, bool) {
-	key, aerr := synKey(s.tenant(r), r.PathValue("name"))
+// keyFor resolves a client-supplied synopsis name (the {name} path segment
+// on most routes) into the request tenant's qualified key through the
+// operation layer's key and ownership steps, writing the rejection itself.
+func (s *Server) keyFor(w http.ResponseWriter, r *http.Request, name string) (string, bool) {
+	key, aerr := s.ops.key(s.tenant(r), name)
 	if aerr != nil {
 		writeAPIError(w, r, aerr)
 		return "", false
@@ -680,12 +668,8 @@ func (s *Server) pathKey(w http.ResponseWriter, r *http.Request) (string, bool) 
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	key, ok := s.pathKey(w, r)
+	key, ok := s.keyFor(w, r, r.PathValue("name"))
 	if !ok {
-		return
-	}
-	if aerr := s.ownerCheck(key); aerr != nil {
-		writeAPIError(w, r, aerr)
 		return
 	}
 	e, err := s.reg.Get(key)
@@ -697,12 +681,8 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	key, ok := s.pathKey(w, r)
+	key, ok := s.keyFor(w, r, r.PathValue("name"))
 	if !ok {
-		return
-	}
-	if aerr := s.ownerCheck(key); aerr != nil {
-		writeAPIError(w, r, aerr)
 		return
 	}
 	if err := s.reg.Delete(key); err != nil {
@@ -717,36 +697,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// rateLimit takes one token from the tenant's bucket, writing the typed
-// quota_exceeded rejection itself when the bucket is dry. Applied to the
-// traffic routes (estimate, feedback) — the ones a noisy neighbor floods.
-func rateLimit(w http.ResponseWriter, r *http.Request, t *Tenant) bool {
-	return rateLimitN(w, r, t, 1)
-}
-
-// rateLimitN charges n tokens atomically — a batch of n feedback events
-// costs exactly what n single-event requests would, so the batch endpoint
-// cannot bypass a tenant's rate limit.
-func rateLimitN(w http.ResponseWriter, r *http.Request, t *Tenant, n int) bool {
-	if t.allowN(n) {
-		return true
-	}
-	writeAPIError(w, r, api.Errorf(api.CodeQuotaExceeded, "tenant %q rate limit exceeded", t.ID()))
-	return false
-}
-
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if !rateLimit(w, r, s.tenant(r)) {
-		return
-	}
-	key, ok := s.pathKey(w, r)
-	if !ok {
-		return
-	}
-	if aerr := s.ownerCheck(key); aerr != nil {
-		writeAPIError(w, r, aerr)
-		return
-	}
 	var req api.EstimateRequest
 	if !readBody(w, r, &req) {
 		return
@@ -755,70 +706,34 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if req.Query != "" {
 		queries = append([]string{req.Query}, queries...)
 	}
-	if len(queries) == 0 {
-		writeErr(w, r, fmt.Errorf("missing query or queries"))
-		return
-	}
-	items, err := s.reg.EstimateBatch(r.Context(), key, queries, req.Streaming)
-	if err != nil {
-		writeErr(w, r, err)
+	items, aerr := s.ops.estimate(r.Context(), s.tenant(r), r.PathValue("name"), queries, req.Streaming)
+	if aerr != nil {
+		writeAPIError(w, r, aerr)
 		return
 	}
 	writeJSON(w, http.StatusOK, api.EstimateResponse{Results: items})
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	if !rateLimit(w, r, s.tenant(r)) {
-		return
-	}
-	key, ok := s.pathKey(w, r)
-	if !ok {
-		return
-	}
-	if aerr := s.ownerCheck(key); aerr != nil {
-		writeAPIError(w, r, aerr)
-		return
-	}
 	var req api.FeedbackRequest
 	if !readBody(w, r, &req) {
 		return
 	}
-	if req.Query == "" {
-		writeErr(w, r, fmt.Errorf("missing query"))
-		return
-	}
-	if err := s.reg.Feedback(key, req.Query, req.Actual); err != nil {
-		writeErr(w, r, err)
+	if aerr := s.ops.feedback(s.tenant(r), r.PathValue("name"), req.Query, req.Actual); aerr != nil {
+		writeAPIError(w, r, aerr)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleFeedbackBatch(w http.ResponseWriter, r *http.Request) {
-	key, ok := s.pathKey(w, r)
-	if !ok {
-		return
-	}
-	if aerr := s.ownerCheck(key); aerr != nil {
-		writeAPIError(w, r, aerr)
-		return
-	}
 	var req api.FeedbackBatchRequest
 	if !readBody(w, r, &req) {
 		return
 	}
-	if len(req.Items) == 0 {
-		writeErr(w, r, fmt.Errorf("missing items"))
-		return
-	}
-	// Charged after decode — the batch size IS the cost — and before any
-	// registry work, so an over-limit batch is rejected whole.
-	if !rateLimitN(w, r, s.tenant(r), len(req.Items)) {
-		return
-	}
-	errs, err := s.reg.FeedbackBatch(key, req.Items)
-	if err != nil {
-		writeErr(w, r, err)
+	errs, aerr := s.ops.feedbackBatch(s.tenant(r), r.PathValue("name"), req.Items)
+	if aerr != nil {
+		writeAPIError(w, r, aerr)
 		return
 	}
 	resp := api.FeedbackBatchResponse{Results: make([]api.FeedbackBatchItem, len(errs))}
@@ -829,12 +744,8 @@ func (s *Server) handleFeedbackBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubtree(w http.ResponseWriter, r *http.Request) {
-	key, ok := s.pathKey(w, r)
+	key, ok := s.keyFor(w, r, r.PathValue("name"))
 	if !ok {
-		return
-	}
-	if aerr := s.ownerCheck(key); aerr != nil {
-		writeAPIError(w, r, aerr)
 		return
 	}
 	var req api.SubtreeRequest
@@ -859,12 +770,8 @@ func (s *Server) handleSubtree(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
-	key, ok := s.pathKey(w, r)
+	key, ok := s.keyFor(w, r, r.PathValue("name"))
 	if !ok {
-		return
-	}
-	if aerr := s.ownerCheck(key); aerr != nil {
-		writeAPIError(w, r, aerr)
 		return
 	}
 	e, err := s.reg.Get(key)
@@ -900,12 +807,8 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
-	key, ok := s.pathKey(w, r)
+	key, ok := s.keyFor(w, r, r.PathValue("name"))
 	if !ok {
-		return
-	}
-	if aerr := s.ownerCheck(key); aerr != nil {
-		writeAPIError(w, r, aerr)
 		return
 	}
 	syn, err := xseed.ReadSynopsis(io.LimitReader(r.Body, 256<<20))
@@ -922,7 +825,7 @@ func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.reg.StatsFor(s.tenant(r)))
+	writeJSON(w, http.StatusOK, s.ops.stats(s.tenant(r)))
 }
 
 // handleMetrics serves the Prometheus text exposition. Every family reads
@@ -965,7 +868,8 @@ func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 
 // handleCompact folds delta logs into fresh base snapshots on demand:
 // POST /v1/admin/compact[?synopsis=name] compacts one synopsis (resolved in
-// the default tenant's namespace) or, without the parameter, every
+// the default tenant's namespace and, like every named route, answered
+// moved when another node owns it) or, without the parameter, every
 // registered one across all tenants. Admin-only on tenanted servers.
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	if aerr := s.adminOnly(s.tenant(r)); aerr != nil {
@@ -978,7 +882,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	}
 	var keys []string
 	if name := r.URL.Query().Get("synopsis"); name != "" {
-		key, ok := s.pathKeyFrom(w, r, name)
+		key, ok := s.keyFor(w, r, name)
 		if !ok {
 			return
 		}
@@ -1003,16 +907,6 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Store = storeStatsAPI(s.st.Stats(), s.tenants, nil)
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// pathKeyFrom is pathKey for a name arriving outside the path (?synopsis=).
-func (s *Server) pathKeyFrom(w http.ResponseWriter, r *http.Request, name string) (string, bool) {
-	key, aerr := synKey(s.tenant(r), name)
-	if aerr != nil {
-		writeAPIError(w, r, aerr)
-		return "", false
-	}
-	return key, true
 }
 
 // storeStatsAPI projects the store's stats onto the wire type, scoped to

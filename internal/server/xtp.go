@@ -40,14 +40,9 @@ type XTPOptions struct {
 // registry from many concurrent calls on a single socket.
 type XTP struct {
 	reg *Registry
+	ops *ops // the request policy, shared with HTTP when under a Server
 	log *slog.Logger
 	m   *xtpMetrics
-
-	// Cluster hooks, both nil off-cluster: ownerCheck answers with a typed
-	// moved error for keys owned by another node, ringJSON serves RingReq.
-	// Set once via AttachCluster before the listener serves.
-	ownerCheck func(key string) *api.Error
-	ringJSON   func() ([]byte, bool)
 
 	// baseCtx parents every request handler; cancel aborts in-flight work
 	// when a drain deadline expires.
@@ -72,6 +67,7 @@ func NewXTP(reg *Registry, opts XTPOptions) *XTP {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &XTP{
 		reg:     reg,
+		ops:     &ops{reg: reg},
 		log:     lg,
 		m:       newXTPMetrics(opts.Metrics),
 		baseCtx: ctx,
@@ -85,16 +81,8 @@ func NewXTP(reg *Registry, opts XTPOptions) *XTP {
 // (moved errors over xtp mirror the HTTP 421s) and the RingReq answer.
 // Call before Serve.
 func (x *XTP) AttachCluster(ownerCheck func(string) *api.Error, ringJSON func() ([]byte, bool)) {
-	x.ownerCheck = ownerCheck
-	x.ringJSON = ringJSON
-}
-
-// checkOwner applies the cluster ownership hook (nil off-cluster).
-func (x *XTP) checkOwner(key string) *api.Error {
-	if x.ownerCheck == nil {
-		return nil
-	}
-	return x.ownerCheck(key)
+	x.ops.owner = ownerCheck
+	x.ops.ringJSON = ringJSON
 }
 
 // Serve accepts connections on ln until Shutdown (which returns nil here)
@@ -177,11 +165,11 @@ type xtpConn struct {
 
 	// ten is the tenant this connection is bound to: the default until an
 	// AuthReq rebinds it. Written and read only on the reader goroutine;
-	// dispatched handlers receive the value as an argument, so a later
-	// AuthReq never races an in-flight request.
+	// dispatched handlers receive the value as an argument (see dispatch),
+	// so a later AuthReq never races an in-flight request.
 	ten *Tenant
 
-	wmu sync.Mutex
+	wmu sync.Mutex // serializes frames, the handshake reply first
 	w   *wire.Writer
 
 	inflight sync.WaitGroup // dispatched request handlers
@@ -205,28 +193,32 @@ func (x *XTP) handleConn(c net.Conn) {
 		x.log.Debug("xtp handshake failed", "remote", c.RemoteAddr().String(), "err", err)
 		return
 	}
-	if err := wire.WriteHandshake(c, wire.Version); err != nil {
-		x.m.handshakeErr.Inc()
-		return
-	}
 	if ver != wire.Version {
 		x.m.handshakeErr.Inc()
 		x.log.Warn("xtp version mismatch", "remote", c.RemoteAddr().String(),
 			"clientVersion", ver, "serverVersion", wire.Version)
+		_ = wire.WriteHandshake(c, wire.Version) // best effort: we close either way
 		return
 	}
 	c.SetReadDeadline(time.Time{})
 
+	// Register before answering: once the client holds our handshake, a
+	// Shutdown must find this connection in its drain snapshot, or the
+	// client sees EOF instead of a Goaway. Holding wmu across the reply
+	// orders it ahead of any Goaway that drain writes.
 	cn := &xtpConn{c: c, x: x, w: wire.NewWriter(c), ten: x.reg.Tenants().Default()}
+	cn.wmu.Lock()
 	x.mu.Lock()
 	if x.closed {
 		x.mu.Unlock()
+		cn.wmu.Unlock()
 		return
 	}
 	x.conns[cn] = struct{}{}
 	x.mu.Unlock()
+	err = wire.WriteHandshake(c, wire.Version)
+	cn.wmu.Unlock()
 	x.m.connsOpen.Add(1)
-	x.log.Debug("xtp connection open", "remote", c.RemoteAddr().String())
 	defer func() {
 		x.mu.Lock()
 		delete(x.conns, cn)
@@ -234,6 +226,11 @@ func (x *XTP) handleConn(c net.Conn) {
 		x.m.connsOpen.Add(-1)
 		x.log.Debug("xtp connection closed", "remote", c.RemoteAddr().String())
 	}()
+	if err != nil {
+		x.m.handshakeErr.Inc()
+		return
+	}
+	x.log.Debug("xtp connection open", "remote", c.RemoteAddr().String())
 
 	cn.readLoop()
 	// Let dispatched handlers finish writing their responses before the
@@ -288,91 +285,33 @@ func (cn *xtpConn) readLoop() {
 				cn.protocolError(f.Corr, err)
 				return
 			}
-			t := cn.ten
-			t.reqs.Inc()
-			if !t.allow() {
-				cn.writeError(f.Corr, api.Errorf(api.CodeQuotaExceeded, "tenant %q rate limit exceeded", t.ID()))
-				continue
-			}
-			key, aerr := synKey(t, name)
-			if aerr == nil {
-				aerr = x.checkOwner(key)
-			}
-			if aerr != nil {
-				cn.writeError(f.Corr, aerr)
-				continue
-			}
-			cn.inflight.Add(1)
-			go cn.handleEstimate(f.Corr, key, queries, streaming)
+			go cn.handleEstimate(f.Corr, cn.dispatch(), name, queries, streaming)
 		case wire.FrameFeedbackReq:
 			name, query, actual, err := wire.DecodeFeedbackReq(f.Payload)
 			if err != nil {
 				cn.protocolError(f.Corr, err)
 				return
 			}
-			t := cn.ten
-			t.reqs.Inc()
-			if !t.allow() {
-				cn.writeError(f.Corr, api.Errorf(api.CodeQuotaExceeded, "tenant %q rate limit exceeded", t.ID()))
-				continue
-			}
-			key, aerr := synKey(t, name)
-			if aerr == nil {
-				aerr = x.checkOwner(key)
-			}
-			if aerr != nil {
-				cn.writeError(f.Corr, aerr)
-				continue
-			}
-			cn.inflight.Add(1)
-			go cn.handleFeedback(f.Corr, key, query, actual)
+			go cn.handleFeedback(f.Corr, cn.dispatch(), name, query, actual)
 		case wire.FrameFeedbackBatchReq:
 			name, items, err := wire.DecodeFeedbackBatchReq(f.Payload)
 			if err != nil {
 				cn.protocolError(f.Corr, err)
 				return
 			}
-			t := cn.ten
-			t.reqs.Inc()
-			if len(items) == 0 {
-				cn.writeError(f.Corr, api.Errorf(api.CodeBadRequest, "missing items"))
-				continue
-			}
-			// A batch of n events costs n tokens — rejected whole when the
-			// bucket cannot cover it, so batching never outruns the limit.
-			if !t.allowN(len(items)) {
-				cn.writeError(f.Corr, api.Errorf(api.CodeQuotaExceeded, "tenant %q rate limit exceeded", t.ID()))
-				continue
-			}
-			key, aerr := synKey(t, name)
-			if aerr == nil {
-				aerr = x.checkOwner(key)
-			}
-			if aerr != nil {
-				cn.writeError(f.Corr, aerr)
-				continue
-			}
-			cn.inflight.Add(1)
-			go cn.handleFeedbackBatch(f.Corr, key, items)
+			go cn.handleFeedbackBatch(f.Corr, cn.dispatch(), name, items)
 		case wire.FrameStatsReq:
-			t := cn.ten
-			t.reqs.Inc()
-			cn.inflight.Add(1)
-			go cn.handleStats(f.Corr, t)
+			go cn.handleStats(f.Corr, cn.dispatch())
 		case wire.FrameRingReq:
 			if len(f.Payload) != 0 {
 				cn.protocolError(f.Corr, fmt.Errorf("RingReq carries no payload"))
 				return
 			}
-			if x.ringJSON != nil {
-				if data, ok := x.ringJSON(); ok {
-					cn.write(wire.FrameRingResp, f.Corr, data)
-					continue
-				}
-				cn.writeError(f.Corr, api.Errorf(api.CodeUnavailable, "ring not yet known"))
-				continue
+			if data, aerr := x.ops.ring(); aerr != nil {
+				cn.writeError(f.Corr, aerr)
+			} else {
+				cn.write(wire.FrameRingResp, f.Corr, data)
 			}
-			cn.writeError(f.Corr, api.Errorf(api.CodeConflict, "server is not part of a cluster"))
 		default:
 			// Unknown or direction-inverted frame: the stream cannot be
 			// trusted past it (see the versioning rules in docs/PROTOCOL.md).
@@ -382,28 +321,37 @@ func (cn *xtpConn) readLoop() {
 	}
 }
 
-func (cn *xtpConn) handleEstimate(corr uint64, name string, queries []string, streaming bool) {
+// dispatch counts one request frame against the connection's tenant and
+// registers its handler as in flight. It runs on the reader goroutine and
+// returns the tenant the handler runs as, so the handler's policy checks
+// (ops.go) see the binding of the moment the frame arrived.
+func (cn *xtpConn) dispatch() *Tenant {
+	cn.ten.reqs.Inc()
+	cn.inflight.Add(1)
+	return cn.ten
+}
+
+func (cn *xtpConn) handleEstimate(corr uint64, t *Tenant, name string, queries []string, streaming bool) {
 	defer cn.inflight.Done()
 	start := time.Now()
-	items, err := cn.x.reg.EstimateBatch(cn.x.baseCtx, name, queries, streaming)
-	if err != nil {
-		cn.writeError(corr, toAPIError(err))
-		cn.x.m.observe(cn.x.m.estimateSeconds, start)
-		return
+	if items, aerr := cn.x.ops.estimate(cn.x.baseCtx, t, name, queries, streaming); aerr != nil {
+		cn.writeError(corr, aerr)
+	} else {
+		buf := wire.GetBuf()
+		*buf = wire.AppendEstimateResp(*buf, items)
+		cn.write(wire.FrameEstimateResp, corr, *buf)
+		wire.PutBuf(buf)
 	}
-	buf := wire.GetBuf()
-	*buf = wire.AppendEstimateResp(*buf, items)
-	cn.write(wire.FrameEstimateResp, corr, *buf)
-	wire.PutBuf(buf)
 	cn.x.m.observe(cn.x.m.estimateSeconds, start)
 }
 
-func (cn *xtpConn) handleFeedback(corr uint64, name, query string, actual float64) {
+// handleFeedback acks every FeedbackReq, failures included: a rejection
+// rides the ack as its error, like a failed registry call.
+func (cn *xtpConn) handleFeedback(corr uint64, t *Tenant, name, query string, actual float64) {
 	defer cn.inflight.Done()
 	start := time.Now()
-	var ae *api.Error
-	if err := cn.x.reg.Feedback(name, query, actual); err != nil {
-		ae = toAPIError(err)
+	ae := cn.x.ops.feedback(t, name, query, actual)
+	if ae != nil {
 		cn.x.m.errorSent(ae.Code)
 	}
 	buf := wire.GetBuf()
@@ -413,19 +361,17 @@ func (cn *xtpConn) handleFeedback(corr uint64, name, query string, actual float6
 	cn.x.m.observe(cn.x.m.feedbackSeconds, start)
 }
 
-func (cn *xtpConn) handleFeedbackBatch(corr uint64, name string, items []api.FeedbackItem) {
+func (cn *xtpConn) handleFeedbackBatch(corr uint64, t *Tenant, name string, items []api.FeedbackItem) {
 	defer cn.inflight.Done()
 	start := time.Now()
-	errs, err := cn.x.reg.FeedbackBatch(name, items)
-	if err != nil {
-		cn.writeError(corr, toAPIError(err)) // counts the error
-		cn.x.m.observe(cn.x.m.feedbackSeconds, start)
-		return
+	if errs, aerr := cn.x.ops.feedbackBatch(t, name, items); aerr != nil {
+		cn.writeError(corr, aerr) // counts the error
+	} else {
+		buf := wire.GetBuf()
+		*buf = wire.AppendFeedbackBatchAck(*buf, errs)
+		cn.write(wire.FrameFeedbackBatchAck, corr, *buf)
+		wire.PutBuf(buf)
 	}
-	buf := wire.GetBuf()
-	*buf = wire.AppendFeedbackBatchAck(*buf, errs)
-	cn.write(wire.FrameFeedbackBatchAck, corr, *buf)
-	wire.PutBuf(buf)
 	cn.x.m.observe(cn.x.m.feedbackSeconds, start)
 }
 
@@ -434,7 +380,7 @@ func (cn *xtpConn) handleStats(corr uint64, t *Tenant) {
 	start := time.Now()
 	// Stats is a cold path; its deeply nested payload rides as JSON
 	// (normatively specified — see the StatsResp section of PROTOCOL.md).
-	data, err := json.Marshal(cn.x.reg.StatsFor(t))
+	data, err := json.Marshal(cn.x.ops.stats(t))
 	if err != nil {
 		cn.writeError(corr, api.WrapError(err, api.CodeInternal))
 		return
